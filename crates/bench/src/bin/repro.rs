@@ -1314,37 +1314,6 @@ fn overload(
     }
 }
 
-/// Rules for the 10k-device shard throughput tier. The default rule set
-/// includes a two-pattern cross-device join (`correlated-cpu`) whose
-/// match cost is quadratic in device count *for every shard count* — at
-/// 10 000 devices it would dwarf the pipeline under measurement (the
-/// same reason `scenario_throughput.rs` trims its rule set). The cost
-/// the shards actually cut is the task-fan-in × store-scan product, so
-/// the bench keeps single-pattern alert rules plus a stats rule that
-/// still forces the per-series consolidation sweep.
-const SHARD_BENCH_RULES: &str = r#"
-rule "high-cpu" salience 10 {
-    when cpu(device: ?d, value: ?v)
-    if ?v > 90
-    then emit critical ?d "cpu load at ?v% on ?d"
-}
-rule "disk-pressure" salience 8 {
-    when disk(device: ?d, value: ?v)
-    if ?v >= 85
-    then emit warning ?d "disk ?v% full on ?d"
-}
-rule "memory-pressure" salience 8 {
-    when mem(device: ?d, value: ?v)
-    if ?v >= 90
-    then emit warning ?d "memory ?v% used on ?d"
-}
-rule "sustained-cpu" salience 5 {
-    when stat(device: ?d, metric: "cpu.load.1", mean: ?m)
-    if ?m > 80
-    then emit warning ?d "sustained cpu pressure on ?d (mean ?m%)"
-}
-"#;
-
 /// Sharded-federation experiment: the grid split into `shards` peer
 /// domains (devices partitioned by site, one root + broker scope +
 /// analyzer tier per shard) connected by the federation protocol. Two
@@ -1587,7 +1556,6 @@ fn shard_throughput_bench(shards: usize, seed: u64, path: &str) {
         let mut b = ManagementGrid::builder()
             .network(standard_network(SITES, DEVICES_PER_SITE, seed))
             .collectors_per_site(1)
-            .rules(SHARD_BENCH_RULES)
             .shards(n);
         for a in 0..analyzer_pool {
             b = b.analyzer(format!("pg-{}", a + 1), 1.0, ALL_SKILLS);

@@ -14,7 +14,8 @@ use agentgrid_net::{FaultKind, ScheduledFault};
 
 /// Total match attempts of the deterministic Figure-2 scenario, measured
 /// at 8242 with the incremental engine (ceiling leaves ~45% headroom for
-/// benign rule-set growth). The naive engine's total for the same run is
+/// benign rule-set growth), and at 173 since guards filter their
+/// pattern's facts before the join. The naive engine's total for the same run is
 /// far larger (it re-derives the full conflict set every cycle), so any
 /// regression toward full rebuilds trips this immediately.
 const MATCH_ATTEMPTS_CEILING: u64 = 12_000;

@@ -901,10 +901,19 @@ impl GridReport {
 
     /// Created minus completed minus still-outstanding, federation-wide
     /// (a task spilled mid-flight sits in two shards' outstanding sets,
-    /// hence the dedup). Positive means tasks vanished, negative means
-    /// something was double-counted; any conserving run reports zero.
+    /// hence the dedup). A spilled task completed at a peer stays
+    /// outstanding at its origin until the `spill-done` confirmation
+    /// lands; it already counts as completed, so it is not counted
+    /// again. Positive means tasks vanished, negative means something was
+    /// double-counted; any conserving run reports zero.
     pub fn unaccounted_tasks(&self) -> i64 {
-        let outstanding: BTreeSet<&str> = self.outstanding.iter().map(String::as_str).collect();
+        let completed: BTreeSet<&str> = self.completed_ids.iter().map(String::as_str).collect();
+        let outstanding: BTreeSet<&str> = self
+            .outstanding
+            .iter()
+            .map(String::as_str)
+            .filter(|id| !completed.contains(id))
+            .collect();
         self.tasks_created as i64 - self.tasks_completed as i64 - outstanding.len() as i64
     }
 

@@ -1,7 +1,10 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+
+use crate::rule::ProbePlan;
 
 /// A field value inside a [`Fact`].
 ///
@@ -234,7 +237,9 @@ impl From<&Term> for TermKey {
 /// Two alpha indexes are maintained alongside the id-ordered map: a
 /// per-kind id set (so `of_kind` never scans unrelated facts) and a
 /// `(kind, field, value)` index that `Pattern::match_all` probes for
-/// literal and already-bound fields.
+/// literal and already-bound fields. The field index covers only the
+/// `(kind, field)` pairs of the knowledge base's probe plan (an engine
+/// installs it); a probe on any other pair gets the kind's id set.
 ///
 /// # Examples
 ///
@@ -248,10 +253,15 @@ impl From<&Term> for TermKey {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorkingMemory {
-    facts: BTreeMap<FactId, Fact>,
-    next_id: u64,
-    by_kind: BTreeMap<String, BTreeSet<FactId>>,
-    by_field: BTreeMap<String, BTreeMap<String, BTreeMap<TermKey, BTreeSet<FactId>>>>,
+    /// Slot `i` holds fact `FactId(i)` until it is retracted.
+    facts: Vec<Option<Fact>>,
+    live: usize,
+    /// Ascending ids per kind.
+    by_kind: BTreeMap<String, Vec<FactId>>,
+    /// One value index (ascending ids per value) per planned
+    /// `(kind, field)` pair.
+    by_field: BTreeMap<String, BTreeMap<String, BTreeMap<TermKey, Vec<FactId>>>>,
+    plan: Arc<ProbePlan>,
 }
 
 impl WorkingMemory {
@@ -260,42 +270,89 @@ impl WorkingMemory {
         WorkingMemory::default()
     }
 
+    /// An empty working memory indexing the pairs of `plan`.
+    pub(crate) fn with_plan(plan: &Arc<ProbePlan>) -> Self {
+        let mut wm = WorkingMemory::new();
+        wm.set_plan(plan);
+        wm
+    }
+
+    /// Indexes exactly the pairs of `plan`: pairs it drops lose their
+    /// index, pairs it adds are indexed over the facts already present.
+    pub(crate) fn set_plan(&mut self, plan: &Arc<ProbePlan>) {
+        if Arc::ptr_eq(&self.plan, plan) {
+            return;
+        }
+        let mut old = std::mem::take(&mut self.by_field);
+        for (kind, fields) in &plan.fields {
+            let mut kind_index = old.remove(kind).unwrap_or_default();
+            kind_index.retain(|field, _| fields.contains(field));
+            for field in fields {
+                if kind_index.contains_key(field) {
+                    continue;
+                }
+                let mut values: BTreeMap<TermKey, Vec<FactId>> = BTreeMap::new();
+                for id in self.by_kind.get(kind).into_iter().flatten() {
+                    if let Some(value) = self.get(*id).and_then(|f| f.field(field)) {
+                        values.entry(TermKey::from(value)).or_default().push(*id);
+                    }
+                }
+                kind_index.insert(field.clone(), values);
+            }
+            self.by_field.insert(kind.clone(), kind_index);
+        }
+        self.plan = Arc::clone(plan);
+    }
+
+    /// Removes every fact and restarts ids at zero, keeping the plan.
+    pub(crate) fn clear(&mut self) {
+        self.facts.clear();
+        self.live = 0;
+        self.by_kind.clear();
+        for values in self.by_field.values_mut().flat_map(BTreeMap::values_mut) {
+            values.clear();
+        }
+    }
+
     /// Inserts a fact, returning its id.
     pub fn insert(&mut self, fact: Fact) -> FactId {
-        let id = FactId(self.next_id);
-        self.next_id += 1;
-        self.by_kind
-            .entry(fact.kind.clone())
-            .or_default()
-            .insert(id);
-        let kind_index = self.by_field.entry(fact.kind.clone()).or_default();
-        for (name, value) in &fact.fields {
-            kind_index
-                .entry(name.clone())
-                .or_default()
-                .entry(TermKey::from(value))
-                .or_default()
-                .insert(id);
+        let id = FactId(self.facts.len() as u64);
+        // Ids only grow, so pushing keeps every bucket ascending.
+        match self.by_kind.get_mut(&fact.kind) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_kind.insert(fact.kind.clone(), vec![id]);
+            }
         }
-        self.facts.insert(id, fact);
+        if let Some(kind_index) = self.by_field.get_mut(&fact.kind) {
+            for (name, values) in kind_index.iter_mut() {
+                if let Some(value) = fact.fields.get(name) {
+                    values.entry(TermKey::from(value)).or_default().push(id);
+                }
+            }
+        }
+        self.facts.push(Some(fact));
+        self.live += 1;
         id
     }
 
     /// Removes a fact. Returns the fact if it was present.
     pub fn retract(&mut self, id: FactId) -> Option<Fact> {
-        let fact = self.facts.remove(&id)?;
+        let fact = self.facts.get_mut(id.0 as usize)?.take()?;
+        self.live -= 1;
         if let Some(ids) = self.by_kind.get_mut(&fact.kind) {
-            ids.remove(&id);
+            remove_id(ids, id);
         }
         if let Some(kind_index) = self.by_field.get_mut(&fact.kind) {
-            for (name, value) in &fact.fields {
-                if let Some(values) = kind_index.get_mut(name) {
-                    let key = TermKey::from(value);
-                    if let Some(ids) = values.get_mut(&key) {
-                        ids.remove(&id);
-                        if ids.is_empty() {
-                            values.remove(&key);
-                        }
+            for (name, values) in kind_index.iter_mut() {
+                let Some(value) = fact.fields.get(name) else {
+                    continue;
+                };
+                let key = TermKey::from(value);
+                if let Some(ids) = values.get_mut(&key) {
+                    remove_id(ids, id);
+                    if ids.is_empty() {
+                        values.remove(&key);
                     }
                 }
             }
@@ -305,12 +362,15 @@ impl WorkingMemory {
 
     /// Looks up a fact by id.
     pub fn get(&self, id: FactId) -> Option<&Fact> {
-        self.facts.get(&id)
+        self.facts.get(id.0 as usize)?.as_ref()
     }
 
     /// Iterates over `(id, fact)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact)> {
-        self.facts.iter().map(|(id, f)| (*id, f))
+        self.facts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| Some((FactId(i as u64), f.as_ref()?)))
     }
 
     /// Iterates over the facts of one kind, in insertion order.
@@ -318,43 +378,58 @@ impl WorkingMemory {
         self.ids_of_kind(kind)
             .into_iter()
             .flatten()
-            .map(|id| (*id, self.facts.get(id).expect("indexed fact exists")))
+            .map(|id| (*id, self.get(*id).expect("indexed fact exists")))
     }
 
     /// Id set for a kind (alpha index, level 0).
-    pub(crate) fn ids_of_kind(&self, kind: &str) -> Option<&BTreeSet<FactId>> {
-        self.by_kind.get(kind)
+    pub(crate) fn ids_of_kind(&self, kind: &str) -> Option<&[FactId]> {
+        self.by_kind.get(kind).map(Vec::as_slice)
     }
 
     /// Id set for facts of `kind` whose field `name` indexes equal to
-    /// `value` (alpha index, level 1). `None` means no candidate exists;
-    /// callers must still confirm with [`Fact::field`] equality.
-    pub(crate) fn ids_by_field(
-        &self,
-        kind: &str,
-        name: &str,
-        value: &Term,
-    ) -> Option<&BTreeSet<FactId>> {
-        self.by_field
-            .get(kind)?
-            .get(name)?
-            .get(&TermKey::from(value))
+    /// `value` (alpha index, level 1); for a pair outside the probe plan,
+    /// the kind's id set. `None` means no candidate exists; callers must
+    /// still confirm with [`Fact::field`] equality.
+    pub(crate) fn ids_by_field(&self, kind: &str, name: &str, value: &Term) -> Option<&[FactId]> {
+        match self.by_field.get(kind).and_then(|fields| fields.get(name)) {
+            Some(values) => values.get(&TermKey::from(value)).map(Vec::as_slice),
+            None => self.ids_of_kind(kind),
+        }
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.live
     }
 
     /// Whether the memory is empty.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.live == 0
+    }
+}
+
+/// Removes `id` from an ascending id bucket.
+fn remove_id(ids: &mut Vec<FactId>, id: FactId) {
+    if let Ok(i) = ids.binary_search(&id) {
+        ids.remove(i);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A working memory indexing the given `(kind, field)` pairs.
+    fn planned(pairs: &[(&str, &str)]) -> WorkingMemory {
+        let mut plan = ProbePlan::default();
+        for (kind, field) in pairs {
+            plan.fields
+                .entry(kind.to_string())
+                .or_default()
+                .insert(field.to_string());
+        }
+        WorkingMemory::with_plan(&Arc::new(plan))
+    }
 
     #[test]
     fn term_conversions_and_accessors() {
@@ -418,7 +493,7 @@ mod tests {
 
     #[test]
     fn field_index_probes_by_value() {
-        let mut wm = WorkingMemory::new();
+        let mut wm = planned(&[("obs", "device"), ("obs", "value")]);
         let a = wm.insert(Fact::new("obs").with("device", "sw-1").with("value", 10.0));
         let b = wm.insert(Fact::new("obs").with("device", "sw-2").with("value", 10.0));
         wm.insert(Fact::new("obs").with("device", "sw-3").with("value", 20.0));
@@ -426,9 +501,9 @@ mod tests {
         let hit = wm
             .ids_by_field("obs", "device", &Term::from("sw-1"))
             .unwrap();
-        assert_eq!(hit.iter().copied().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(hit.to_vec(), vec![a]);
         let tens = wm.ids_by_field("obs", "value", &Term::from(10.0)).unwrap();
-        assert_eq!(tens.iter().copied().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(tens.to_vec(), vec![a, b]);
         assert!(wm
             .ids_by_field("obs", "device", &Term::from("sw-9"))
             .is_none());
@@ -439,7 +514,7 @@ mod tests {
 
     #[test]
     fn field_index_tracks_retraction() {
-        let mut wm = WorkingMemory::new();
+        let mut wm = planned(&[("obs", "device")]);
         let a = wm.insert(Fact::new("obs").with("device", "sw-1"));
         wm.retract(a);
         assert!(wm
@@ -449,12 +524,45 @@ mod tests {
     }
 
     #[test]
+    fn unplanned_pair_probes_the_kind_bucket() {
+        let mut wm = planned(&[("obs", "device")]);
+        let a = wm.insert(Fact::new("obs").with("device", "sw-1").with("value", 1.0));
+        let b = wm.insert(Fact::new("obs").with("device", "sw-2").with("value", 2.0));
+        let all = wm.ids_by_field("obs", "value", &Term::from(9.0)).unwrap();
+        assert_eq!(all.to_vec(), vec![a, b]);
+        // A plan that adds the pair indexes the facts already present.
+        let mut plan = (*wm.plan).clone();
+        plan.fields
+            .get_mut("obs")
+            .unwrap()
+            .insert("value".to_owned());
+        wm.set_plan(&Arc::new(plan));
+        let twos = wm.ids_by_field("obs", "value", &Term::from(2.0)).unwrap();
+        assert_eq!(twos.to_vec(), vec![b]);
+        assert!(wm.ids_by_field("obs", "value", &Term::from(9.0)).is_none());
+    }
+
+    #[test]
+    fn clear_keeps_the_plan_and_restarts_ids() {
+        let mut wm = planned(&[("obs", "device")]);
+        wm.insert(Fact::new("obs").with("device", "sw-1"));
+        wm.clear();
+        assert!(wm.is_empty());
+        let a = wm.insert(Fact::new("obs").with("device", "sw-1"));
+        assert_eq!(a.value(), 0);
+        let hit = wm
+            .ids_by_field("obs", "device", &Term::from("sw-1"))
+            .unwrap();
+        assert_eq!(hit.to_vec(), vec![a]);
+    }
+
+    #[test]
     fn negative_zero_shares_a_bucket_with_zero() {
-        let mut wm = WorkingMemory::new();
+        let mut wm = planned(&[("obs", "value")]);
         let a = wm.insert(Fact::new("obs").with("value", 0.0));
         let b = wm.insert(Fact::new("obs").with("value", -0.0));
         let zeros = wm.ids_by_field("obs", "value", &Term::from(-0.0)).unwrap();
-        assert_eq!(zeros.iter().copied().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(zeros.to_vec(), vec![a, b]);
     }
 
     #[test]

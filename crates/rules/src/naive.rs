@@ -7,7 +7,9 @@
 //! the same findings in the same order, the same fired/asserted/retracted
 //! counts, and `match_attempts` no larger on the incremental side. Do not
 //! optimise this type — its O(cycles × rules × facts^patterns) behaviour is
-//! the point of comparison.
+//! the point of comparison. Its working memory has no probe plan, so every
+//! field probe scans the kind bucket: the reference does not depend on the
+//! plan the incremental engine indexes by.
 
 use std::collections::BTreeSet;
 

@@ -20,7 +20,7 @@ use agentgrid_suite::core::grid::GridBuilder;
 use agentgrid_suite::core::overload::{AdmissionConfig, OverloadConfig};
 use agentgrid_suite::core::recovery::RecoveryConfig;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
-use agentgrid_suite::platform::ReliabilityConfig;
+use agentgrid_suite::platform::{LinkFaults, LinkSelector, PoolRuntime, ReliabilityConfig};
 use agentgrid_suite::{GridReport, ManagementGrid};
 use std::collections::BTreeSet;
 
@@ -161,6 +161,54 @@ fn spillover_under_netchaos_conserves_every_task() {
             "seed {seed}: the adversary must actually interfere"
         );
         assert_conserved(&report, &format!("seed {seed}, netchaos"));
+    }
+}
+
+#[test]
+fn conservation_holds_with_link_faults_open_to_the_last_cycle() {
+    // Lossy, duplicating, reordering links through the very last cycle:
+    // when the run stops, some spilled tasks have completed at a peer
+    // while their `spill-done` is still being retransmitted, so the
+    // origin still lists them as outstanding. A completed task is owed
+    // nothing, so it must count once, as completed.
+    let cycles = 12;
+    for seed in [1u64, 7, 42] {
+        let chaos = ChaosPlan::new().link_faults_between(
+            0,
+            cycles * 60_000,
+            LinkSelector::All,
+            LinkFaults {
+                drop_ppm: 20_000,
+                duplicate_ppm: 20_000,
+                reorder_window: 4,
+                ..LinkFaults::default()
+            },
+        );
+        let mut grid = sharded_builder(4, 8, 3, seed)
+            .overload(tight_admission())
+            .net_adversary(seed)
+            .reliability(ReliabilityConfig::seeded(seed))
+            .chaos(chaos)
+            .build_on::<PoolRuntime>();
+        let mut in_flight_completions = 0;
+        for cycle in 1..=cycles {
+            let report = grid.run(60_000, 60_000);
+            let completed: BTreeSet<&str> =
+                report.completed_ids.iter().map(String::as_str).collect();
+            in_flight_completions += report
+                .outstanding
+                .iter()
+                .filter(|id| completed.contains(id.as_str()))
+                .count();
+            assert_conserved(
+                &report,
+                &format!("seed {seed}, cycle {cycle}, open link faults"),
+            );
+        }
+        assert!(
+            in_flight_completions > 0,
+            "seed {seed}: no cycle ended with a completion still being confirmed home"
+        );
     }
 }
 
