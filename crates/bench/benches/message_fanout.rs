@@ -1,5 +1,6 @@
 //! Multicast fan-out benchmark: one message with a deep content tree
-//! delivered to 1, 8 and 64 receivers on both runtimes.
+//! delivered to 1, 8 and 64 receivers on the deterministic platform
+//! (the pool runtime routes through the same path).
 //!
 //! Routing moves `Arc<AclMessage>`s, so fan-out is N refcount bumps —
 //! per-receiver cost must stay flat as the receiver count grows. The
@@ -9,7 +10,6 @@
 //! series must beat it clearly.
 
 use agentgrid_acl::{AclMessage, AgentId, Performative, SharedMessage, Value};
-use agentgrid_platform::threaded::ThreadedPlatform;
 use agentgrid_platform::{Agent, Platform};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -100,35 +100,9 @@ fn bench_deterministic_deep_clone_baseline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("message_fanout/threaded");
-    for n in RECEIVERS {
-        let mut platform = ThreadedPlatform::new("bench");
-        for c in 0..CONTAINERS {
-            platform.add_container(format!("c{c}"));
-        }
-        for (i, _) in receiver_ids(n).iter().enumerate() {
-            platform
-                .spawn(&format!("c{}", i % CONTAINERS), &format!("sink-{i}"), Sink)
-                .unwrap();
-        }
-        let mut handle = platform.start();
-        let message: SharedMessage = multicast(&receiver_ids(n)).into_shared();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                handle.post(SharedMessage::clone(&message));
-                black_box(handle.wait_idle())
-            })
-        });
-        handle.shutdown();
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_deterministic,
     bench_deterministic_deep_clone_baseline,
-    bench_threaded,
 );
 criterion_main!(benches);

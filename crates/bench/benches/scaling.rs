@@ -10,7 +10,8 @@
 //!   variable is the partitioning. Unsharded, every site's data-ready
 //!   fans into tasks that each scan the whole store; sharded, each
 //!   root sees only its sites and each task scans only its shard's
-//!   store — the wall-clock curve is that work reduction. The
+//!   store — the wall-clock curve is that work reduction. It runs the
+//!   builder's default rule set, `correlated-cpu` join included. The
 //!   10 000-device headline numbers live in `BENCH_pr10.json`
 //!   (`repro --sharded 4 --shard-bench-json …`).
 
@@ -18,28 +19,6 @@ use agentgrid::grid::ManagementGrid;
 use agentgrid_bench::{grid_scaling_report, standard_network, ALL_SKILLS};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-
-/// Single-pattern alert rules plus a consolidation-stats rule: the
-/// shard tier measures the task-fan-in × store-scan product, so the
-/// default two-pattern correlation join (quadratic in devices at any
-/// shard count) is trimmed — same reason as `scenario_throughput.rs`.
-const SHARD_RULES: &str = r#"
-rule "high-cpu" salience 10 {
-    when cpu(device: ?d, value: ?v)
-    if ?v > 90
-    then emit critical ?d "cpu load at ?v% on ?d"
-}
-rule "disk-pressure" salience 8 {
-    when disk(device: ?d, value: ?v)
-    if ?v >= 85
-    then emit warning ?d "disk ?v% full on ?d"
-}
-rule "sustained-cpu" salience 5 {
-    when stat(device: ?d, metric: "cpu.load.1", mean: ?m)
-    if ?m > 80
-    then emit warning ?d "sustained cpu pressure on ?d (mean ?m%)"
-}
-"#;
 
 fn bench_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_analyzers");
@@ -66,7 +45,6 @@ fn bench_shards(c: &mut Criterion) {
                     let mut builder = ManagementGrid::builder()
                         .network(standard_network(16, 12, 42))
                         .collectors_per_site(1)
-                        .rules(SHARD_RULES)
                         .shards(shards);
                     for a in 0..8 {
                         builder = builder.analyzer(format!("pg-{}", a + 1), 1.0, ALL_SKILLS);

@@ -1,6 +1,5 @@
-//! Wall-clock throughput of the Fig. 2 scenario across the three
-//! execution models — deterministic stepper, one-OS-thread-per-container
-//! threaded runtime, and the work-stealing pool.
+//! Wall-clock throughput of the Fig. 2 scenario on both execution
+//! models — the deterministic stepper and the work-stealing pool.
 //!
 //! Two tiers:
 //!
@@ -16,10 +15,10 @@
 //!   analyzers → interface sink) with synthetic lightweight agents, so
 //!   the measured cost *is* the runtime layer: message batching,
 //!   routing, per-container scheduling. This is the tier where the
-//!   pool's advantage over one-OS-thread-per-container shows up — the
-//!   headline numbers recorded in `BENCH_pr6.json`.
+//!   pool's parallel tick phase shows up (`BENCH_pr6.json` records it
+//!   against the since-removed one-thread-per-container runtime).
 //!
-//! All three runtimes produce byte-identical grid reports on seeded
+//! Both runtimes produce byte-identical grid reports on seeded
 //! scenarios (asserted in `tests/architecture_comparison.rs`); this
 //! bench measures what that equivalence costs.
 
@@ -28,7 +27,7 @@ use agentgrid_bench::ALL_SKILLS;
 use agentgrid_net::{Device, DeviceKind, Network};
 use agentgrid_platform::{
     AclMessage, Agent, AgentCtx, AgentId, Performative, Platform, PoolRuntime, Runtime, Telemetry,
-    ThreadedRuntime, Value,
+    Value,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -259,12 +258,6 @@ fn bench_scenario_throughput(c: &mut Criterion) {
             black_box(g.run(GRID_MINUTES * 60_000, 60_000).records_stored)
         })
     });
-    grid.bench_function(BenchmarkId::new("threaded", containers), |b| {
-        b.iter(|| {
-            let mut g = scenario(containers).build_threaded();
-            black_box(g.run(GRID_MINUTES * 60_000, 60_000).records_stored)
-        })
-    });
     grid.finish();
 
     let mut pipeline = c.benchmark_group("fig2_pipeline");
@@ -275,9 +268,6 @@ fn bench_scenario_throughput(c: &mut Criterion) {
         });
         pipeline.bench_function(BenchmarkId::new("pool", containers), |b| {
             b.iter(|| black_box(run_pipeline::<PoolRuntime>(containers)))
-        });
-        pipeline.bench_function(BenchmarkId::new("threaded", containers), |b| {
-            b.iter(|| black_box(run_pipeline::<ThreadedRuntime>(containers)))
         });
     }
     pipeline.finish();

@@ -50,11 +50,10 @@
 //! counts and speedups to `<path>` as JSON. With no explicit experiment
 //! list, `--bench-json` runs only the benchmark.
 //!
-//! `--runtime {deterministic,threaded,pool}` selects the execution model
-//! for the live-grid experiments (fig2, lb, chaos, overload):
-//! `deterministic` (default) is the in-order stepper, `threaded` runs one
-//! OS thread per container, `pool` ticks collector containers on a
-//! work-stealing thread pool. All three produce byte-identical reports
+//! `--runtime {deterministic,pool}` selects the execution model for the
+//! live-grid experiments (fig2, lb, chaos, overload): `deterministic`
+//! (default) is the in-order stepper, `pool` ticks collector containers
+//! on a work-stealing thread pool. Both produce byte-identical reports
 //! on these seeded scenarios — CI diffs `--runtime pool` output against
 //! the default to prove it. (`mobility` always uses the deterministic
 //! stepper: migration is a stepper-only API.)
@@ -109,14 +108,12 @@ use agentgrid_platform::{ReliabilityConfig, Telemetry, TelemetryHandle};
 use agentgrid_rules::{parse_rules, Engine, KnowledgeBase, NaiveEngine};
 use agentgrid_store::{AggKind, Classifier, LabelFilter, ManagementStore, StoreBackend};
 
-/// Execution model for the live-grid experiments; all three produce
+/// Execution model for the live-grid experiments; both produce
 /// byte-identical reports on the seeded scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RuntimeChoice {
     /// In-order deterministic stepper (the default).
     Deterministic,
-    /// One OS thread per container.
-    Threaded,
     /// Work-stealing pool over collector containers.
     Pool,
 }
@@ -137,12 +134,6 @@ fn run_grid(
             let stats = grid.overload_stats();
             (report, stats)
         }
-        RuntimeChoice::Threaded => {
-            let mut grid = builder.build_threaded();
-            let report = grid.run(duration_ms, tick_ms);
-            let stats = grid.overload_stats();
-            (report, stats)
-        }
         RuntimeChoice::Pool => {
             let mut grid = builder.build_pool();
             let report = grid.run(duration_ms, tick_ms);
@@ -154,23 +145,37 @@ fn run_grid(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_path = take_metrics_flag(&mut args);
-    let trace_path = take_trace_flag(&mut args);
-    let chaos_seed = take_chaos_flag(&mut args);
-    let netchaos_seed = take_netchaos_flag(&mut args);
-    let overload_seed = take_overload_flag(&mut args);
-    let bench_json = take_bench_json_flag(&mut args);
-    let store_bench_json = take_store_bench_json_flag(&mut args);
-    let sharded_shards = take_sharded_flag(&mut args);
-    let shard_bench_json = take_shard_bench_json_flag(&mut args);
+    let metrics_path = take_flag(&mut args, "--metrics");
+    let trace_path = take_flag(&mut args, "--trace");
+    let chaos_seed = take_flag(&mut args, "--chaos").map(|raw| seed("--chaos", &raw));
+    let netchaos_seed = take_flag(&mut args, "--netchaos").map(|raw| seed("--netchaos", &raw));
+    let overload_seed = take_flag(&mut args, "--overload").map(|raw| seed("--overload", &raw));
+    let bench_json = take_flag(&mut args, "--bench-json");
+    let store_bench_json = take_flag(&mut args, "--store-bench-json");
+    let sharded_shards = take_flag(&mut args, "--sharded").map(|raw| match raw.parse::<usize>() {
+        Ok(0) => usage_error("--sharded needs at least one shard"),
+        Ok(shards) => shards,
+        Err(_) => usage_error(&format!("--sharded needs a shard count, got `{raw}`")),
+    });
+    let shard_bench_json = take_flag(&mut args, "--shard-bench-json");
     // `--sharded N SEED`: the bare number after the flags is the seed.
     let sharded_seed = sharded_shards.and_then(|_| {
         args.iter()
             .position(|a| a.parse::<u64>().is_ok())
             .map(|i| args.remove(i).parse().expect("position checked"))
     });
-    let runtime = take_runtime_flag(&mut args);
-    let store = take_store_flag(&mut args);
+    let runtime = match take_flag(&mut args, "--runtime").as_deref() {
+        None | Some("deterministic") => RuntimeChoice::Deterministic,
+        Some("pool") => RuntimeChoice::Pool,
+        Some(other) => usage_error(&format!(
+            "--runtime must be deterministic or pool, got `{other}`"
+        )),
+    };
+    let store = take_flag(&mut args, "--store").map_or_else(StoreBackend::default, |raw| {
+        StoreBackend::parse(&raw).unwrap_or_else(|| {
+            usage_error(&format!("--store must be chunked or naive, got `{raw}`"))
+        })
+    });
     let telemetry = (metrics_path.is_some() || trace_path.is_some()).then(Telemetry::new);
     if let (Some(_), Some(t)) = (&trace_path, &telemetry) {
         t.flight_recorder().enable();
@@ -263,265 +268,35 @@ fn main() {
     }
 }
 
-/// Removes `--metrics <path>` (or `--metrics=<path>`) from `args` and
-/// returns the path, if present.
-fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
+/// Removes `--name <value>` (or `--name=<value>`) from `args` and
+/// returns the value, if present. A flag with no value is a usage error.
+fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
+    if let Some(i) = args.iter().position(|a| a == name) {
         if i + 1 >= args.len() {
-            eprintln!("--metrics needs a path argument");
-            std::process::exit(2);
+            usage_error(&format!("{name} needs a value"));
         }
-        let path = args.remove(i + 1);
+        let value = args.remove(i + 1);
         args.remove(i);
-        return Some(path);
+        return Some(value);
     }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--metrics=")) {
-        let path = args.remove(i)["--metrics=".len()..].to_owned();
-        return Some(path);
-    }
-    None
+    let prefix = format!("{name}=");
+    let i = args.iter().position(|a| a.starts_with(&prefix))?;
+    Some(args.remove(i)[prefix.len()..].to_owned())
 }
 
-/// Removes `--trace <path>` (or `--trace=<path>`) from `args` and
-/// returns the path, if present.
-fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        if i + 1 >= args.len() {
-            eprintln!("--trace needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--trace=")) {
-        let path = args.remove(i)["--trace=".len()..].to_owned();
-        return Some(path);
-    }
-    None
+/// Parses the seed given to `flag`, or exits as a usage error.
+fn seed(flag: &str, raw: &str) -> u64 {
+    raw.parse().unwrap_or_else(|_| {
+        usage_error(&format!(
+            "{flag} needs an unsigned integer seed, got `{raw}`"
+        ))
+    })
 }
 
-/// Removes `--chaos <seed>` (or `--chaos=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_chaos_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--chaos needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--chaos") {
-        if i + 1 >= args.len() {
-            eprintln!("--chaos needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--chaos=")) {
-        let raw = args.remove(i)["--chaos=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--netchaos <seed>` (or `--netchaos=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_netchaos_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--netchaos needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--netchaos") {
-        if i + 1 >= args.len() {
-            eprintln!("--netchaos needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--netchaos=")) {
-        let raw = args.remove(i)["--netchaos=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--overload <seed>` (or `--overload=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_overload_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--overload needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--overload") {
-        if i + 1 >= args.len() {
-            eprintln!("--overload needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--overload=")) {
-        let raw = args.remove(i)["--overload=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--runtime <name>` (or `--runtime=<name>`) from `args` and
-/// returns the chosen execution model; defaults to the deterministic
-/// stepper.
-fn take_runtime_flag(args: &mut Vec<String>) -> RuntimeChoice {
-    let parse = |raw: &str| match raw {
-        "deterministic" => RuntimeChoice::Deterministic,
-        "threaded" => RuntimeChoice::Threaded,
-        "pool" => RuntimeChoice::Pool,
-        other => {
-            eprintln!("--runtime must be deterministic, threaded or pool, got `{other}`");
-            std::process::exit(2);
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--runtime") {
-        if i + 1 >= args.len() {
-            eprintln!("--runtime needs an argument (deterministic, threaded or pool)");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return parse(&raw);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--runtime=")) {
-        let raw = args.remove(i)["--runtime=".len()..].to_owned();
-        return parse(&raw);
-    }
-    RuntimeChoice::Deterministic
-}
-
-/// Removes `--store <backend>` (or `--store=<backend>`) from `args` and
-/// returns the chosen time-series backend; defaults to the chunked
-/// engine.
-fn take_store_flag(args: &mut Vec<String>) -> StoreBackend {
-    let parse = |raw: &str| {
-        StoreBackend::parse(raw).unwrap_or_else(|| {
-            eprintln!("--store must be chunked or naive, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        if i + 1 >= args.len() {
-            eprintln!("--store needs an argument (chunked or naive)");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return parse(&raw);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--store=")) {
-        let raw = args.remove(i)["--store=".len()..].to_owned();
-        return parse(&raw);
-    }
-    StoreBackend::default()
-}
-
-/// Removes `--store-bench-json <path>` (or `--store-bench-json=<path>`)
-/// from `args` and returns the path, if present.
-fn take_store_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--store-bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--store-bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args
-        .iter()
-        .position(|a| a.starts_with("--store-bench-json="))
-    {
-        let path = args.remove(i)["--store-bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
-}
-
-/// Removes `--sharded <n>` (or `--sharded=<n>`) from `args` and returns
-/// the shard count, if present.
-fn take_sharded_flag(args: &mut Vec<String>) -> Option<usize> {
-    let parse = |raw: &str| {
-        let shards: usize = raw.parse().unwrap_or_else(|_| {
-            eprintln!("--sharded needs a shard count, got `{raw}`");
-            std::process::exit(2);
-        });
-        if shards == 0 {
-            eprintln!("--sharded needs at least one shard");
-            std::process::exit(2);
-        }
-        shards
-    };
-    if let Some(i) = args.iter().position(|a| a == "--sharded") {
-        if i + 1 >= args.len() {
-            eprintln!("--sharded needs a shard count argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--sharded=")) {
-        let raw = args.remove(i)["--sharded=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--shard-bench-json <path>` (or `--shard-bench-json=<path>`)
-/// from `args` and returns the path, if present.
-fn take_shard_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--shard-bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--shard-bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args
-        .iter()
-        .position(|a| a.starts_with("--shard-bench-json="))
-    {
-        let path = args.remove(i)["--shard-bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
-}
-
-/// Removes `--bench-json <path>` (or `--bench-json=<path>`) from `args`
-/// and returns the path, if present.
-fn take_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--bench-json=")) {
-        let path = args.remove(i)["--bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 /// Writes the telemetry snapshot to `path`: JSON for `.json` paths,

@@ -8,9 +8,8 @@
 //! overload admission ([`MailboxTracker::admit_batch`]) and flush each
 //! container's batch in one go. The grouping preserves posted order
 //! within every container batch, so per-(sender, receiver) FIFO
-//! ordering is untouched; what changes is the locking and delivery
-//! shape — one routing-table acquisition and one channel send (or one
-//! mailbox walk) per container per batch instead of per message.
+//! ordering is untouched; what changes is the delivery shape — one
+//! mailbox walk per container per batch instead of per message.
 //!
 //! [`MailboxTracker::admit_batch`]: crate::overload::MailboxTracker::admit_batch
 
@@ -84,15 +83,6 @@ pub(crate) fn group_into_batches(
     per_container
 }
 
-/// Number of delivery legs in a container batch (what the
-/// `agentgrid_delivery_batch_size` histogram observes per flush).
-pub(crate) fn batch_legs(batch: &ContainerBatch) -> u64 {
-    batch
-        .iter()
-        .map(|(_, receivers)| receivers.len() as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +118,6 @@ mod tests {
         assert_eq!(c2.len(), 2);
         assert!(SharedMessage::ptr_eq(&c2[0].0, &batch[0]));
         assert!(SharedMessage::ptr_eq(&c2[1].0, &batch[2]));
-        assert_eq!(batch_legs(c1), 2);
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! delivers all in-flight messages, then ticks every agent, in name
 //! order. Determinism makes grid behaviour reproducible in tests and
 //! benchmarks; the wall-clock performance dimension is measured
-//! separately on `agentgrid-des`. For a deployment-shaped runtime with
-//! one OS thread per container see [`threaded`], and for driver code
-//! that should run on either execution model, the [`runtime::Runtime`]
-//! trait.
+//! separately on `agentgrid-des`. For the same stepper with its tick
+//! phase on a work-stealing thread pool see [`pool`], and for driver
+//! code that should run on either execution model, the
+//! [`runtime::Runtime`] trait.
 //!
 //! # Examples
 //!
@@ -74,7 +74,6 @@ pub mod overload;
 mod platform;
 pub mod pool;
 pub mod runtime;
-pub mod threaded;
 
 pub use agent::{Agent, AgentCtx, AgentState};
 pub use agentgrid_acl::ontology::ResourceProfile;
@@ -84,8 +83,7 @@ pub use net::{LinkFaults, LinkSelector, NetCommand, NetStats, ReliabilityConfig}
 pub use overload::{MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, PressureSignal};
 pub use platform::{FaultSet, Platform, PlatformError, TransportFault};
 pub use pool::PoolRuntime;
-pub use runtime::{Runtime, ThreadedRuntime};
-pub use threaded::{RunStats, RunningPlatform, ThreadedPlatform};
+pub use runtime::Runtime;
 
 // Telemetry surface, re-exported so runtime users attach sinks without
 // naming the telemetry crate.

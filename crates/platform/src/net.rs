@@ -36,12 +36,12 @@
 //! ([`NetCommand::ClearLinkFaults`]), so overlapping windows no longer
 //! clobber each other.
 //!
-//! Everything here is wired through [`NetCommand`], which all three
+//! Everything here is wired through [`NetCommand`], which both
 //! runtimes accept via
 //! [`Runtime::net_command`](crate::runtime::Runtime::net_command) — the
 //! adversary sits in the one shared routing path
-//! ([`crate::delivery`]), so the deterministic stepper, the pool and
-//! the threaded runtime all misbehave identically.
+//! ([`crate::delivery`]), so the deterministic stepper and the pool
+//! misbehave identically.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -296,8 +296,7 @@ struct PendingRetransmit {
 }
 
 /// The adversary + reliability state machine. One per platform, driven
-/// from the shared routing path; the threaded runtime keeps it behind a
-/// mutex next to the routing table.
+/// from the shared routing path.
 pub(crate) struct NetAdversary {
     seed: u64,
     rules: Vec<(LinkSelector, LinkFaults)>,

@@ -14,8 +14,8 @@
 //!
 //! Both runtimes must agree on *how many* messages are shed for the same
 //! scenario, or cross-runtime comparisons become meaningless. An
-//! instantaneous-depth bound cannot deliver that: on the threaded
-//! runtime the observed depth depends on thread interleaving. A budget
+//! instantaneous-depth bound cannot deliver that: the observed depth
+//! depends on how a runtime batches and orders deliveries. A budget
 //! per **simulated-clock window** (one distinct timestamp = one window)
 //! does, because all traffic in this codebase is driven by the simulated
 //! clock — the multiset of messages bound for a container within one
@@ -214,9 +214,8 @@ struct Window {
 }
 
 /// The bookkeeping both runtimes drive: per-container window budgets,
-/// the waiting queues, and the shed/deferral counters. The deterministic
-/// platform owns one directly; the threaded runtime shares one behind a
-/// mutex (admission already happens under its routing lock).
+/// the waiting queues, and the shed/deferral counters. The platform owns
+/// one directly; the pool drives the same one through its platform.
 #[derive(Debug)]
 pub(crate) struct MailboxTracker {
     config: MailboxConfig,

@@ -7,7 +7,7 @@ use agentgrid_telemetry::TelemetryHandle;
 
 use crate::agent::{Agent, AgentState};
 use crate::container::{AgentSlot, Container, DfRef};
-use crate::delivery::{batch_legs, group_into_batches, ContainerBatch};
+use crate::delivery::{group_into_batches, ContainerBatch};
 use crate::net::{NetAdversary, NetCommand, NetStats};
 use crate::overload::{MailboxConfig, MailboxTracker, OverloadStats, PressureSignal};
 use crate::DirectoryFacilitator;
@@ -24,8 +24,6 @@ pub enum PlatformError {
     DuplicateAgent(AgentId),
     /// A container with that name already exists.
     DuplicateContainer(String),
-    /// The operation is not supported by this runtime.
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for PlatformError {
@@ -36,9 +34,6 @@ impl fmt::Display for PlatformError {
             PlatformError::DuplicateAgent(id) => write!(f, "agent `{id}` already exists"),
             PlatformError::DuplicateContainer(name) => {
                 write!(f, "container `{name}` already exists")
-            }
-            PlatformError::Unsupported(what) => {
-                write!(f, "operation not supported by this runtime: {what}")
             }
         }
     }
@@ -415,8 +410,7 @@ impl Platform {
         self.delivered
     }
 
-    /// Number of dead-lettered messages so far. Same introspection
-    /// surface as [`RunningPlatform`](crate::RunningPlatform).
+    /// Number of dead-lettered messages so far.
     pub fn dead_letter_count(&self) -> usize {
         self.dead_letters.len()
     }
@@ -643,7 +637,7 @@ impl Platform {
         telemetry: Option<&agentgrid_telemetry::Telemetry>,
     ) {
         if let Some(t) = telemetry {
-            t.batch_flushed(batch_legs(legs));
+            t.batch_flushed(legs.iter().map(|(_, to)| to.len() as u64).sum());
         }
         for (message, receivers) in legs {
             for receiver in receivers {
@@ -990,5 +984,42 @@ mod tests {
         p.post(msg);
         p.step(0);
         assert_eq!(p.delivered_count(), 2);
+    }
+
+    #[test]
+    fn requeue_once_retries_after_clock_advance_then_dead_letters() {
+        let ping = |to: AgentId| {
+            AclMessage::builder(Performative::Request)
+                .sender(AgentId::new("outside"))
+                .receiver(to)
+                .content(Value::symbol("ping"))
+                .build()
+                .unwrap()
+        };
+        let mut p = Platform::new("t");
+        p.add_container("a");
+        p.set_dead_letter_requeue(true);
+
+        // No such agent yet: the first failure parks a narrowed retry.
+        p.post(ping(AgentId::with_platform("phoenix", "t")));
+        p.run_until_idle(0);
+        assert!(p.dead_letters().is_empty(), "first failure is parked");
+        assert_eq!(p.requeued_count(), 1);
+
+        // The agent appears before the retry fires: message recovered.
+        p.spawn("a", "phoenix", Ponger { received: 0 }).unwrap();
+        p.run_until_idle(1_000);
+        assert_eq!(p.delivered_count(), 1);
+        assert!(p.dead_letters().is_empty());
+
+        // A retry that fails again dead-letters for real: the ping to a
+        // ghost agent, and phoenix's pong to the outside sender (parked
+        // above), both exhaust their single retry on this advance.
+        p.post(ping(AgentId::with_platform("ghost", "t")));
+        p.run_until_idle(1_000);
+        assert_eq!(p.requeued_count(), 3);
+        p.run_until_idle(2_000);
+        assert_eq!(p.dead_letters().len(), 2);
+        assert_eq!(p.delivered_count(), 1);
     }
 }

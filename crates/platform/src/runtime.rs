@@ -9,9 +9,9 @@
 //!
 //! * [`Platform`] — the deterministic single-threaded stepper; name-order
 //!   iteration makes runs exactly reproducible.
-//! * [`ThreadedRuntime`] — one OS thread per container over
-//!   [`ThreadedPlatform`]; deployment-shaped, nondeterministic
-//!   cross-container ordering, per-channel FIFO preserved.
+//! * [`PoolRuntime`] — the same stepper with its tick phase spread over a
+//!   work-stealing thread pool; outboxes merge in container-name order,
+//!   so its runs are byte-identical to the stepper's.
 //!
 //! Agent code ([`Agent`] impls) is identical on both; only the driver
 //! changes. Delivery guarantees shared by both runtimes:
@@ -25,8 +25,8 @@
 //! # Examples
 //!
 //! ```
-//! use agentgrid_platform::runtime::{Runtime, ThreadedRuntime};
-//! use agentgrid_platform::{Agent, Platform};
+//! use agentgrid_platform::runtime::Runtime;
+//! use agentgrid_platform::{Agent, Platform, PoolRuntime};
 //!
 //! struct Noop;
 //! impl Agent for Noop {}
@@ -40,9 +40,11 @@
 //!
 //! let mut deterministic: Platform = build();
 //! deterministic.run_until_idle(0);
-//! let mut threaded: ThreadedRuntime = build();
-//! Runtime::run_until_idle(&mut threaded, 0);
+//! let mut pool: PoolRuntime = build();
+//! pool.run_until_idle(0);
 //! ```
+//!
+//! [`PoolRuntime`]: crate::PoolRuntime
 
 use std::sync::Arc;
 
@@ -52,10 +54,9 @@ use agentgrid_telemetry::TelemetryHandle;
 use crate::agent::Agent;
 use crate::net::{NetCommand, NetStats};
 use crate::overload::{MailboxConfig, OverloadStats, PressureSignal};
-use crate::threaded::{RunStats, RunningPlatform, ThreadedPlatform};
 use crate::{DirectoryFacilitator, Platform, PlatformError, TransportFault};
 
-/// Common driver surface of the deterministic and threaded runtimes.
+/// Common driver surface of the deterministic and pool runtimes.
 ///
 /// See the [module docs](self) for the contract. The trait is not object
 /// safe (it has constructor and generic methods); use it as a static
@@ -71,16 +72,15 @@ pub trait Runtime {
     ///
     /// # Panics
     ///
-    /// Panics if the container already exists, or (threaded) if the
-    /// runtime has already started executing.
+    /// Panics if the container already exists.
     fn add_container(&mut self, name: &str);
 
     /// Spawns an agent into a container under `local_name`.
     ///
     /// # Errors
     ///
-    /// Returns [`PlatformError`] for unknown containers, duplicate agent
-    /// names, or (threaded) spawning after execution has started.
+    /// Returns [`PlatformError`] for unknown containers or duplicate
+    /// agent names.
     fn spawn_agent(
         &mut self,
         container: &str,
@@ -147,12 +147,7 @@ pub trait Runtime {
     fn set_dead_letter_requeue(&mut self, enabled: bool);
 
     /// Attaches a telemetry sink: counters, conversation traces and
-    /// per-container resource profiles record into it from then on. On
-    /// the threaded runtime this must happen before execution starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics ([`ThreadedRuntime`]) if the threads are already running.
+    /// per-container resource profiles record into it from then on.
     fn set_telemetry(&mut self, telemetry: TelemetryHandle);
 
     /// The attached telemetry sink, if any.
@@ -161,13 +156,8 @@ pub trait Runtime {
     /// Enables bounded per-container mailboxes with the given overflow
     /// policy (see [`MailboxConfig`]). The capacity is a per-container
     /// delivery budget per clock window, which makes shed/deferred
-    /// totals comparable across the deterministic and threaded runtimes.
-    /// Off by default (today's unbounded behaviour). On the threaded
-    /// runtime this must happen before execution starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics ([`ThreadedRuntime`]) if the threads are already running.
+    /// totals comparable across runtimes. Off by default (today's
+    /// unbounded behaviour).
     fn set_overload(&mut self, config: MailboxConfig, pressure: Option<Arc<PressureSignal>>);
 
     /// Overload counters (shed per class, deferrals, peak backlog);
@@ -199,17 +189,12 @@ pub trait Runtime {
 
     /// Applies one command against the network layer (composable fault
     /// windows, per-link faults, partitions, reliability — see
-    /// [`net`](crate::net)). Default: ignored, for runtimes without a
-    /// network layer.
-    fn net_command(&mut self, command: NetCommand) {
-        let _ = command;
-    }
+    /// [`net`](crate::net)).
+    fn net_command(&mut self, command: NetCommand);
 
     /// Counters of the network adversary/reliability layer; `None`
-    /// while untouched (or unsupported by the runtime).
-    fn net_stats(&self) -> Option<NetStats> {
-        None
-    }
+    /// while untouched.
+    fn net_stats(&self) -> Option<NetStats>;
 }
 
 impl Runtime for Platform {
@@ -295,264 +280,10 @@ impl Runtime for Platform {
     }
 }
 
-// One short-lived value per runtime; the Building payload's size is
-// irrelevant next to boxing every state transition.
-#[allow(clippy::large_enum_variant)]
-enum ThreadedState {
-    /// Containers and agents are still being registered.
-    Building(ThreadedPlatform),
-    /// Threads are running.
-    Running(RunningPlatform),
-    /// Transient marker while ownership moves from building to running;
-    /// observable only if `start` panicked.
-    Poisoned,
-}
-
-/// [`Runtime`] adapter over the threaded platform.
-///
-/// Wraps the build-then-start lifecycle of [`ThreadedPlatform`] /
-/// [`RunningPlatform`] behind the uniform [`Runtime`] surface: threads
-/// start lazily on the first [`post`](Runtime::post) or
-/// [`run_until_idle`](Runtime::run_until_idle), so all wiring
-/// (containers, spawns, directory registration) happens before
-/// execution, exactly like on the deterministic [`Platform`].
-///
-/// Structural changes ([`add_container`](Runtime::add_container),
-/// [`spawn_agent`](Runtime::spawn_agent),
-/// [`kill_container`](Runtime::kill_container),
-/// [`crash_container_silent`](Runtime::crash_container_silent)) work in
-/// both phases: before the start they edit the wiring, after it they
-/// take effect live — threads start and stop while the platform runs.
-pub struct ThreadedRuntime {
-    state: ThreadedState,
-}
-
-impl std::fmt::Debug for ThreadedRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let phase = match &self.state {
-            ThreadedState::Building(_) => "building",
-            ThreadedState::Running(_) => "running",
-            ThreadedState::Poisoned => "poisoned",
-        };
-        f.debug_struct("ThreadedRuntime")
-            .field("phase", &phase)
-            .finish()
-    }
-}
-
-impl ThreadedRuntime {
-    /// Creates a runtime in the building phase.
-    pub fn new(name: impl Into<String>) -> Self {
-        ThreadedRuntime {
-            state: ThreadedState::Building(ThreadedPlatform::new(name)),
-        }
-    }
-
-    /// Starts the threads if still building, and returns the running
-    /// handle.
-    fn running(&mut self) -> &mut RunningPlatform {
-        if let ThreadedState::Building(_) = self.state {
-            let state = std::mem::replace(&mut self.state, ThreadedState::Poisoned);
-            let ThreadedState::Building(platform) = state else {
-                unreachable!("checked above");
-            };
-            self.state = ThreadedState::Running(platform.start());
-        }
-        match &mut self.state {
-            ThreadedState::Running(handle) => handle,
-            _ => panic!("threaded runtime poisoned by an earlier start failure"),
-        }
-    }
-
-    /// Stops all threads and returns the run statistics; `None` if the
-    /// runtime never started executing.
-    pub fn shutdown(self) -> Option<RunStats> {
-        match self.state {
-            ThreadedState::Running(handle) => Some(handle.shutdown()),
-            _ => None,
-        }
-    }
-}
-
-impl Runtime for ThreadedRuntime {
-    fn create(name: &str) -> Self {
-        ThreadedRuntime::new(name)
-    }
-
-    fn add_container(&mut self, name: &str) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => {
-                platform.add_container(name);
-            }
-            ThreadedState::Running(handle) => handle.add_container(name),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn spawn_agent(
-        &mut self,
-        container: &str,
-        local_name: &str,
-        agent: impl Agent + 'static,
-    ) -> Result<AgentId, PlatformError> {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.spawn(container, local_name, agent),
-            ThreadedState::Running(handle) => handle.spawn(container, local_name, agent),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn with_df<T>(&mut self, f: impl FnOnce(&mut DirectoryFacilitator) -> T) -> T {
-        match &mut self.state {
-            ThreadedState::Building(platform) => f(platform.df_mut()),
-            ThreadedState::Running(handle) => handle.with_df(f),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn post(&mut self, message: impl Into<SharedMessage>) {
-        self.running().post(message);
-    }
-
-    fn run_until_idle(&mut self, now_ms: u64) -> usize {
-        let handle = self.running();
-        handle.advance_clock(now_ms);
-        // Tick rounds replace the deterministic stepper's implicit
-        // "every step ticks": keep ticking until a whole round moves no
-        // messages, so multi-hop exchanges triggered by a tick (poll →
-        // classify → analyze → alert) complete within this call.
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            let before = handle.delivered();
-            handle.broadcast_tick();
-            handle.wait_idle();
-            if handle.delivered() == before || rounds >= 100 {
-                return rounds;
-            }
-        }
-    }
-
-    fn delivered_count(&self) -> u64 {
-        match &self.state {
-            ThreadedState::Running(handle) => handle.delivered(),
-            _ => 0,
-        }
-    }
-
-    fn dead_letter_count(&self) -> usize {
-        match &self.state {
-            ThreadedState::Running(handle) => handle.dead_letter_count(),
-            _ => 0,
-        }
-    }
-
-    fn container_count(&self) -> usize {
-        match &self.state {
-            ThreadedState::Building(platform) => platform.container_count(),
-            ThreadedState::Running(handle) => handle.container_count(),
-            ThreadedState::Poisoned => 0,
-        }
-    }
-
-    fn kill_container(&mut self, name: &str) -> Result<Vec<AgentId>, PlatformError> {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.remove_container(name, true),
-            ThreadedState::Running(handle) => handle.kill_container(name, true),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn crash_container_silent(&mut self, name: &str) -> Result<Vec<AgentId>, PlatformError> {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.remove_container(name, false),
-            ThreadedState::Running(handle) => handle.kill_container(name, false),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn set_transport_fault(&mut self, fault: TransportFault) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.set_transport_fault(fault),
-            ThreadedState::Running(handle) => handle.set_transport_fault(fault),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn set_dead_letter_requeue(&mut self, enabled: bool) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.set_dead_letter_requeue(enabled),
-            ThreadedState::Running(handle) => handle.set_dead_letter_requeue(enabled),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.set_telemetry(telemetry),
-            _ => panic!("attach telemetry before the threaded runtime starts"),
-        }
-    }
-
-    fn telemetry(&self) -> Option<TelemetryHandle> {
-        match &self.state {
-            ThreadedState::Building(platform) => platform.telemetry(),
-            ThreadedState::Running(handle) => handle.telemetry(),
-            ThreadedState::Poisoned => None,
-        }
-    }
-
-    fn set_overload(&mut self, config: MailboxConfig, pressure: Option<Arc<PressureSignal>>) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.set_overload(config, pressure),
-            _ => panic!("attach overload protection before the threaded runtime starts"),
-        }
-    }
-
-    fn overload_stats(&self) -> Option<OverloadStats> {
-        match &self.state {
-            ThreadedState::Running(handle) => handle.overload_stats(),
-            _ => None,
-        }
-    }
-
-    fn net_command(&mut self, command: NetCommand) {
-        match &mut self.state {
-            ThreadedState::Building(platform) => platform.net_command(command),
-            ThreadedState::Running(handle) => handle.net_command(command),
-            ThreadedState::Poisoned => {
-                panic!("threaded runtime poisoned by an earlier start failure")
-            }
-        }
-    }
-
-    fn net_stats(&self) -> Option<NetStats> {
-        match &self.state {
-            ThreadedState::Building(platform) => platform.net_stats(),
-            ThreadedState::Running(handle) => handle.net_stats(),
-            ThreadedState::Poisoned => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AgentCtx;
+    use crate::{AgentCtx, PoolRuntime};
     use agentgrid_acl::{AclMessage, Performative, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -603,24 +334,23 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(Runtime::delivered_count(&deterministic), 1);
 
-        let threaded: ThreadedRuntime = scenario(&hits);
+        let pool: PoolRuntime = scenario(&hits);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
-        assert_eq!(threaded.delivered_count(), 1);
-        let stats = threaded.shutdown().expect("started");
-        assert_eq!(stats.delivered, 1);
-        assert!(stats.dead_letters.is_empty());
+        assert_eq!(pool.delivered_count(), 1);
+        assert_eq!(pool.dead_letter_count(), 0);
     }
 
     #[test]
-    fn threaded_runtime_supports_structural_changes_after_start() {
+    fn pool_runtime_supports_structural_changes_between_runs() {
         let hits = Arc::new(AtomicUsize::new(0));
-        let mut rt = ThreadedRuntime::new("x");
+        let mut rt = PoolRuntime::create("x");
         rt.add_container("c1");
-        rt.post(ping(AgentId::new("ghost@x"))); // starts the threads
-        Runtime::run_until_idle(&mut rt, 0);
+        rt.hint_parallel("c1");
+        rt.post(ping(AgentId::new("ghost@x")));
+        rt.run_until_idle(0);
         assert_eq!(rt.dead_letter_count(), 1);
 
-        // Spawn into the running container, then kill it live.
+        // Spawn into a container that has already run, then kill it.
         let late = rt
             .spawn_agent(
                 "c1",
@@ -629,16 +359,16 @@ mod tests {
                     hits: Arc::clone(&hits),
                 },
             )
-            .expect("late spawn works on the running threaded runtime");
+            .expect("spawning between runs works on the pool");
         rt.post(ping(late.clone()));
-        Runtime::run_until_idle(&mut rt, 1);
+        rt.run_until_idle(1);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
 
-        let killed = rt.kill_container("c1").expect("live kill");
+        let killed = rt.kill_container("c1").expect("kill between runs");
         assert_eq!(killed, vec![late.clone()]);
         assert_eq!(rt.container_count(), 0);
         rt.post(ping(late));
-        Runtime::run_until_idle(&mut rt, 2);
+        rt.run_until_idle(2);
         assert_eq!(hits.load(Ordering::SeqCst), 1, "no delivery after kill");
         assert_eq!(rt.dead_letter_count(), 2);
     }
@@ -667,12 +397,6 @@ mod tests {
             (stale.0, stale.1)
         }
         assert_eq!(scenario::<Platform>(), (1, 1), "crash leaves stale entries");
-        assert_eq!(scenario::<ThreadedRuntime>(), (1, 1));
-    }
-
-    #[test]
-    fn shutdown_before_start_is_none() {
-        let rt = ThreadedRuntime::new("x");
-        assert!(rt.shutdown().is_none());
+        assert_eq!(scenario::<PoolRuntime>(), (1, 1));
     }
 }

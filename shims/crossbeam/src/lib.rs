@@ -1,7 +1,5 @@
 //! Offline stand-in for the `crossbeam` crate (see the note in
-//! `shims/parking_lot`): the [`channel`] module re-creates
-//! `crossbeam::channel`'s unbounded MPSC channel over
-//! [`std::sync::mpsc`], and the [`deque`] module re-creates the
+//! `shims/parking_lot`): the [`deque`] module re-creates the
 //! work-stealing `Injector`/`Worker`/`Stealer` trio over locked
 //! [`std::collections::VecDeque`]s. Only the surface the workspace uses
 //! is provided; the semantics (FIFO injector, per-worker queues, batch
@@ -9,159 +7,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod channel {
-    //! Multi-producer, single-consumer unbounded channels.
-
-    use std::fmt;
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    /// Error returned by [`Receiver::recv`] when every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// Nothing arrived within the timeout.
-        Timeout,
-        /// Every sender disconnected and the buffer is drained.
-        Disconnected,
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("channel receive timed out"),
-                RecvTimeoutError::Disconnected => f.write_str("channel disconnected"),
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
-
-    /// Error returned by [`Sender::send`] when the receiver is gone;
-    /// gives the message back.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T: fmt::Debug> std::error::Error for SendError<T> {}
-
-    /// The sending half of a channel; cheap to clone.
-    pub struct Sender<T> {
-        inner: mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender")
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Queues a message; fails only when the receiver was dropped.
-        pub fn send(&self, message: T) -> Result<(), SendError<T>> {
-            self.inner.send(message).map_err(|e| SendError(e.0))
-        }
-    }
-
-    /// The receiving half of a channel.
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<T>,
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver")
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or every sender is gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-
-        /// Blocks up to `timeout` for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.inner.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Returns a message if one is already queued.
-        pub fn try_recv(&self) -> Option<T> {
-            self.inner.try_recv().ok()
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn multi_producer_fifo_per_sender() {
-            let (tx, rx) = unbounded::<u32>();
-            let tx2 = tx.clone();
-            tx.send(1).unwrap();
-            tx2.send(2).unwrap();
-            tx.send(3).unwrap();
-            let got = [rx.recv().unwrap(), rx.recv().unwrap(), rx.recv().unwrap()];
-            assert_eq!(got, [1, 2, 3]);
-        }
-
-        #[test]
-        fn recv_timeout_reports_timeout_then_disconnect() {
-            let (tx, rx) = unbounded::<u32>();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(1)),
-                Err(RecvTimeoutError::Timeout)
-            );
-            drop(tx);
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(1)),
-                Err(RecvTimeoutError::Disconnected)
-            );
-        }
-
-        #[test]
-        fn send_to_dropped_receiver_errors_with_payload() {
-            let (tx, rx) = unbounded::<u32>();
-            drop(rx);
-            assert_eq!(tx.send(9), Err(SendError(9)));
-        }
-    }
-}
 
 pub mod deque {
     //! Work-stealing deques: a shared FIFO [`Injector`], per-worker

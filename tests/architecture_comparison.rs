@@ -137,8 +137,8 @@ fn raw_factor_drives_the_centralized_network_penalty() {
 
 /// The full live management grid — identical wiring and agent code —
 /// must behave consistently on the deterministic stepper and on the
-/// threaded (one-OS-thread-per-container) runtime: same monitoring
-/// coverage, the same fault detected, nothing lost in transit.
+/// work-stealing pool: same monitoring coverage, the same fault
+/// detected, nothing lost in transit, and a byte-identical report.
 #[test]
 fn live_grid_behaves_consistently_on_both_runtimes() {
     const ALL_SKILLS: [&str; 8] = [
@@ -172,9 +172,9 @@ fn live_grid_behaves_consistently_on_both_runtimes() {
     };
 
     let deterministic = builder().build().run(6 * 60_000, 60_000);
-    let threaded = builder().build_threaded().run(6 * 60_000, 60_000);
+    let pool = builder().build_pool().run(6 * 60_000, 60_000);
 
-    for (name, report) in [("deterministic", &deterministic), ("threaded", &threaded)] {
+    for (name, report) in [("deterministic", &deterministic), ("pool", &pool)] {
         assert!(
             report.records_stored > 0,
             "{name}: collectors fed the store"
@@ -195,24 +195,28 @@ fn live_grid_behaves_consistently_on_both_runtimes() {
     }
     // Collectors poll on the simulated clock, which both runtimes
     // advance identically — monitoring coverage must match exactly.
-    assert_eq!(deterministic.records_stored, threaded.records_stored);
+    assert_eq!(deterministic.records_stored, pool.records_stored);
+    // The pool merges outboxes in container-name order, so the whole
+    // run matches the stepper byte for byte.
+    assert_eq!(deterministic.render(), pool.render());
+    assert_eq!(deterministic.completed_ids, pool.completed_ids);
+    assert_eq!(deterministic.assignments, pool.assignments);
 }
 
 /// Telemetry is part of the cross-runtime contract: the same
 /// message-driven scenario must produce byte-identical counters —
 /// global deliveries, dead letters, per-container delivered/sent and
 /// per-stage rollups — whether it runs on the deterministic stepper or
-/// on the threaded runtime.
+/// on the work-stealing pool.
 #[test]
 fn telemetry_counters_match_across_runtimes() {
     use agentgrid_suite::acl::{AclMessage, AgentId, Performative, Value};
     use agentgrid_suite::platform::{
-        Agent, AgentCtx, Platform, Runtime, Telemetry, TelemetryHandle, ThreadedRuntime,
+        Agent, AgentCtx, Platform, PoolRuntime, Runtime, Telemetry, TelemetryHandle,
     };
 
     /// Forwards every request as one multicast to a sink and a ghost
-    /// (the ghost leg dead-letters). No tick behaviour, so the threaded
-    /// runtime's self-ticking cannot skew any counter.
+    /// (the ghost leg dead-letters).
     struct Forwarder {
         sink: AgentId,
         ghost: AgentId,
@@ -244,6 +248,10 @@ fn telemetry_counters_match_across_runtimes() {
         rt.set_telemetry(telemetry.clone());
         rt.add_container("front");
         rt.add_container("back");
+        // Both containers are independent of the directory, so the pool
+        // may run them on its workers.
+        rt.hint_parallel("front");
+        rt.hint_parallel("back");
         let sink = rt.spawn_agent("back", "sink", Sink).unwrap();
         rt.spawn_agent(
             "front",
@@ -268,14 +276,14 @@ fn telemetry_counters_match_across_runtimes() {
     }
 
     let det = scenario::<Platform>();
-    let thr = scenario::<ThreadedRuntime>();
+    let pool = scenario::<PoolRuntime>();
 
     // 5 requests into fwd + 5 fanouts into sink; each fanout's ghost leg
     // dead-letters.
     assert_eq!(det.delivered_total(), 2 * REQUESTS);
-    assert_eq!(det.delivered_total(), thr.delivered_total());
+    assert_eq!(det.delivered_total(), pool.delivered_total());
     assert_eq!(det.dead_letter_total(), REQUESTS);
-    assert_eq!(det.dead_letter_total(), thr.dead_letter_total());
+    assert_eq!(det.dead_letter_total(), pool.dead_letter_total());
 
     let counters = |t: &TelemetryHandle| {
         t.container_stats()
@@ -283,14 +291,14 @@ fn telemetry_counters_match_across_runtimes() {
             .map(|s| (s.container, s.delivered, s.sent, s.handled, s.mailbox_depth))
             .collect::<Vec<_>>()
     };
-    assert_eq!(counters(&det), counters(&thr));
+    assert_eq!(counters(&det), counters(&pool));
 
     for stage in ["ingress", "egress"] {
         let labels = [("stage", stage)];
         assert_eq!(
             det.snapshot()
                 .counter("agentgrid_stage_messages_total", &labels),
-            thr.snapshot()
+            pool.snapshot()
                 .counter("agentgrid_stage_messages_total", &labels),
             "stage `{stage}` counters must match"
         );
@@ -342,7 +350,7 @@ fn chaos_recovery_is_consistent_across_runtimes() {
 
     let det = builder().build().run(horizon, 60_000);
     let det_again = builder().build().run(horizon, 60_000);
-    let thr = builder().build_threaded().run(horizon, 60_000);
+    let pool = builder().build_pool().run(horizon, 60_000);
 
     // Determinism first: same seed, same everything, to the byte.
     assert_eq!(det.assignments, det_again.assignments);
@@ -354,7 +362,8 @@ fn chaos_recovery_is_consistent_across_runtimes() {
 
     // Cross-runtime parity: the chaos schedule runs on simulated time
     // on both runtimes, so the *sets* of completed tasks and the alert
-    // volume must match (delivery order within a tick may differ).
+    // volume must match — and the pool, which preserves the stepper's
+    // delivery order, must match it byte for byte.
     fn completed_set(r: &agentgrid_suite::GridReport) -> Vec<&str> {
         let mut ids: Vec<&str> = r.completed_ids.iter().map(String::as_str).collect();
         ids.sort_unstable();
@@ -362,12 +371,15 @@ fn chaos_recovery_is_consistent_across_runtimes() {
     }
     assert_eq!(
         completed_set(&det),
-        completed_set(&thr),
+        completed_set(&pool),
         "both runtimes must complete the same task set under the same chaos plan"
     );
-    assert_eq!(det.alerts.len(), thr.alerts.len(), "same alert volume");
-    assert_eq!(det.escalations, thr.escalations, "same escalations");
-    for (name, report) in [("deterministic", &det), ("threaded", &thr)] {
+    assert_eq!(det.alerts.len(), pool.alerts.len(), "same alert volume");
+    assert_eq!(det.escalations, pool.escalations, "same escalations");
+    assert_eq!(det.render(), pool.render());
+    assert_eq!(det.completed_ids, pool.completed_ids);
+    assert_eq!(det.assignments, pool.assignments);
+    for (name, report) in [("deterministic", &det), ("pool", &pool)] {
         assert!(
             report.lost_tasks().is_empty(),
             "{name}: tasks permanently lost: {:?}",
@@ -385,10 +397,9 @@ fn chaos_recovery_is_consistent_across_runtimes() {
 /// delivery produces byte-identical reports on the deterministic
 /// stepper and the pool runtime — the whole misbehavior sequence is a
 /// pure function of `(seed, link, sequence)`, and the pool preserves
-/// the stepper's delivery order exactly. The threaded runtime cannot
-/// promise byte-identity (per-link sequence numbers depend on router
-/// interleaving), but the conservation contract must still hold there:
-/// nothing lost, the injected device fault's alert delivered.
+/// the stepper's delivery order exactly. The conservation contract
+/// holds on both: nothing lost, the injected device fault's alert
+/// delivered.
 #[test]
 fn network_adversary_is_consistent_across_runtimes() {
     use agentgrid_suite::core::chaos::ChaosPlan;
@@ -442,7 +453,6 @@ fn network_adversary_is_consistent_across_runtimes() {
     let det = builder().build().run(horizon, 60_000);
     let det_again = builder().build().run(horizon, 60_000);
     let pool = builder().build_pool().run(horizon, 60_000);
-    let thr = builder().build_threaded().run(horizon, 60_000);
 
     // Determinism first: same seed, same misbehavior, to the byte.
     assert_eq!(det.render(), det_again.render());
@@ -462,7 +472,7 @@ fn network_adversary_is_consistent_across_runtimes() {
     assert!(net.retransmits > 0, "reliability layer must be exercised");
     assert!(net.dup_suppressed > 0, "dedup window must be exercised");
 
-    for (name, report) in [("deterministic", &det), ("pool", &pool), ("threaded", &thr)] {
+    for (name, report) in [("deterministic", &det), ("pool", &pool)] {
         assert!(
             report.lost_tasks().is_empty(),
             "{name}: tasks permanently lost: {:?}",
@@ -489,8 +499,8 @@ fn network_adversary_is_consistent_across_runtimes() {
 fn overload_shedding_is_consistent_across_runtimes() {
     use agentgrid_suite::acl::{AclMessage, AgentId, Performative, Value};
     use agentgrid_suite::platform::{
-        Agent, MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, Platform, Runtime,
-        ThreadedRuntime,
+        Agent, MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, Platform, PoolRuntime,
+        Runtime,
     };
 
     struct Sink;
@@ -536,6 +546,7 @@ fn overload_shedding_is_consistent_across_runtimes() {
             .map(|i| {
                 let container = format!("c{i}");
                 rt.add_container(&container);
+                rt.hint_parallel(&container);
                 rt.spawn_agent(&container, &format!("sink-{i}"), Sink)
                     .unwrap()
             })
@@ -562,10 +573,10 @@ fn overload_shedding_is_consistent_across_runtimes() {
     for seed in [7u64, 42, 1009] {
         let det = scenario::<Platform>(seed);
         let det_again = scenario::<Platform>(seed);
-        let thr = scenario::<ThreadedRuntime>(seed);
+        let pool = scenario::<PoolRuntime>(seed);
         assert_eq!(det, det_again, "seed {seed}: deterministic replay");
         assert_eq!(
-            det, thr,
+            det, pool,
             "seed {seed}: window-credit shedding must not depend on the runtime"
         );
         assert!(det.shed_total() > 0, "seed {seed}: the burst must overflow");
@@ -623,40 +634,36 @@ fn admission_gate_is_consistent_across_runtimes() {
 
     let det = builder().build().run(horizon, 60_000);
     let det_again = builder().build().run(horizon, 60_000);
-    let thr = builder().build_threaded().run(horizon, 60_000);
+    let pool = builder().build_pool().run(horizon, 60_000);
 
     assert_eq!(det.render(), det_again.render());
     assert_eq!(det.rejected, det_again.rejected);
     assert!(det.rejected > 0, "the token bucket must reject awards");
     assert_eq!(
-        det.rejected, thr.rejected,
+        det.rejected, pool.rejected,
         "the admission gate must not depend on the runtime"
     );
     // Mailboxes are unbounded here: nothing may be shed on either side.
     assert_eq!(det.shed, 0);
-    assert_eq!(thr.shed, 0);
+    assert_eq!(pool.shed, 0);
+    assert_eq!(det.render(), pool.render());
+    assert_eq!(det.completed_ids, pool.completed_ids);
+    assert_eq!(det.assignments, pool.assignments);
 }
 
-/// Three-way runtime parity matrix: the same seeded scenario —
-/// optionally with a chaos plan and optionally behind the overload
-/// defences — runs on the deterministic stepper, the threaded runtime
-/// and the work-stealing pool.
+/// Runtime parity matrix: the same seeded scenario — optionally with a
+/// chaos plan and optionally behind the overload defences — runs twice
+/// on the deterministic stepper and once on the work-stealing pool.
 ///
-/// The pool is held to the strongest contract: a byte-identical
-/// [`GridReport`] render versus the deterministic stepper, because its
-/// name-ordered outbox merge makes the parallel phase observationally
-/// sequential. The threaded runtime retries on wall-clock heartbeats,
-/// so count-level fields (`retries`, `rebrokered`) are scheduler-
-/// dependent under chaos; it is held to the set-level contract the
-/// earlier tests in this file establish: same completed-task set, same
-/// alert volume, nothing permanently lost.
+/// The pool is held to a byte-identical [`GridReport`] render versus
+/// the deterministic stepper, because its name-ordered outbox merge
+/// makes the parallel phase observationally sequential.
 mod parity_matrix {
     use super::*;
     use agentgrid_suite::core::chaos::ChaosPlan;
     use agentgrid_suite::core::overload::{AdmissionConfig, OverflowPolicy, OverloadConfig};
     use agentgrid_suite::core::recovery::RecoveryConfig;
     use agentgrid_suite::net::{Device, DeviceKind, Network};
-    use agentgrid_suite::GridReport;
     use proptest::prelude::*;
 
     const ALL_SKILLS: [&str; 8] = [
@@ -684,12 +691,6 @@ mod parity_matrix {
             }
         }
         net
-    }
-
-    fn completed_set(report: &GridReport) -> Vec<&str> {
-        let mut ids: Vec<&str> = report.completed_ids.iter().map(String::as_str).collect();
-        ids.sort_unstable();
-        ids
     }
 
     proptest! {
@@ -740,7 +741,6 @@ mod parity_matrix {
             let det = builder().build().run(horizon, 60_000);
             let det_again = builder().build().run(horizon, 60_000);
             let pool = builder().build_pool().run(horizon, 60_000);
-            let threaded = builder().build_threaded().run(horizon, 60_000);
 
             // Deterministic replay, then pool byte-identity.
             prop_assert_eq!(det.render(), det_again.render());
@@ -751,25 +751,6 @@ mod parity_matrix {
             prop_assert_eq!(&det.alerts, &pool.alerts);
             prop_assert_eq!(det.rejected, pool.rejected);
             prop_assert_eq!(det.shed, pool.shed);
-
-            // Threaded: set-level parity — but only without the
-            // admission gate. With two analyzers the token bucket
-            // counts attempts in arrival order, so *which* awards it
-            // rejects is genuinely scheduler-dependent; under overload
-            // the threaded runtime is held to liveness instead.
-            if protection.is_none() {
-                prop_assert_eq!(completed_set(&det), completed_set(&threaded));
-                prop_assert_eq!(det.alerts.len(), threaded.alerts.len());
-                prop_assert_eq!(det.records_stored, threaded.records_stored);
-                prop_assert!(
-                    threaded.lost_tasks().is_empty(),
-                    "threaded: tasks permanently lost: {:?}",
-                    threaded.lost_tasks()
-                );
-            } else {
-                prop_assert!(threaded.tasks_completed > 0);
-                prop_assert!(threaded.records_stored > 0);
-            }
 
             for (name, report) in [("deterministic", &det), ("pool", &pool)] {
                 prop_assert!(
@@ -910,11 +891,7 @@ fn workload_pacing_reduces_contention_not_work() {
 /// must produce byte-identical reports on the deterministic stepper
 /// and the work-stealing pool: the shards tick concurrently on the
 /// pool (one group per shard), but gossip, spill and summary traffic
-/// merge deterministically. The wall-clock threaded runtime keeps the
-/// task-level invariants (same tasks, same awards, same records) but
-/// its alert values can shift: a peer summary lands whenever the
-/// thread is scheduled, racing live collection, so the snapshot a
-/// rule sees is timing-dependent there by design.
+/// merge deterministically.
 #[test]
 fn sharded_grid_is_byte_identical_across_runtimes() {
     const ALL_SKILLS: [&str; 8] = [
@@ -958,7 +935,6 @@ fn sharded_grid_is_byte_identical_across_runtimes() {
     let horizon = 10 * 60_000;
     let det = builder().build().run(horizon, 60_000);
     let pool = builder().build_pool().run(horizon, 60_000);
-    let threaded = builder().build_threaded().run(horizon, 60_000);
     assert_eq!(det.shards, 3);
     assert!(
         det.federation.summaries_sent > 0,
@@ -967,7 +943,4 @@ fn sharded_grid_is_byte_identical_across_runtimes() {
     assert_eq!(det.render(), pool.render(), "pool report must match");
     assert_eq!(det.completed_ids, pool.completed_ids);
     assert_eq!(det.assignments, pool.assignments);
-    assert_eq!(det.completed_ids, threaded.completed_ids);
-    assert_eq!(det.assignments, threaded.assignments);
-    assert_eq!(det.records_stored, threaded.records_stored);
 }
